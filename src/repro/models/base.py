@@ -3,7 +3,8 @@
 All six models of the paper share the same skeleton:
 
 * a GCN encoder (two graph-convolution layers, 32 and 16 units),
-* an inner-product decoder producing reconstruction logits ``Z Z^T``,
+* an inner-product decoder producing reconstruction logits ``Z Z^T``
+  (fused into the reconstruction loss),
 * a pretraining phase that minimises the (weighted) binary cross-entropy
   between the reconstructed and the input adjacency,
 * a clustering phase that either applies a clustering algorithm to the
@@ -161,6 +162,15 @@ class GAEClusteringModel(Module):
         # Posterior mean of the most recent encode() call (see last_embeddings).
         self._last_mu: Optional[Tensor] = None
         self._last_log_sigma: Optional[Tensor] = None
+        # (supervision graph, its prepared target): see _reconstruction_target.
+        self._reconstruction_cache: Optional[Tuple[np.ndarray, F.BCETarget]] = None
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The cached target holds (N, N) arrays that are cheap to rebuild;
+        # keep them out of pickles and copies.
+        state = self.__dict__.copy()
+        state["_reconstruction_cache"] = None
+        return state
 
     # ------------------------------------------------------------------
     # construction hooks
@@ -273,10 +283,6 @@ class GAEClusteringModel(Module):
         self._last_log_sigma = None
         return z
 
-    def reconstruction_logits(self, z: Tensor) -> Tensor:
-        """Decoder logits ``Z Z^T`` (apply sigmoid for probabilities)."""
-        return z @ z.T
-
     def embed(self, graph: AttributedGraph) -> np.ndarray:
         """Deterministic embeddings (posterior mean) as a numpy array."""
         features, adj_norm = self.prepare_inputs(graph)
@@ -306,13 +312,28 @@ class GAEClusteringModel(Module):
 
         The target includes self loops (as in the reference implementations)
         and its sparsity determines the positive weight and normalisation.
+        The inner-product decoder is fused into the loss
+        (:func:`~repro.nn.functional.inner_product_bce`).
         """
+        return F.inner_product_bce(z, self._reconstruction_target(target_adjacency))
+
+    def _reconstruction_target(self, target_adjacency: np.ndarray) -> F.BCETarget:
+        """The prepared BCE target of a supervision graph, cached per graph object.
+
+        A training loop passes the same graph object at every step until Υ
+        returns a new one, so only the last target is kept.  Callers must
+        therefore never modify a target array in place.
+        """
+        cached = self._reconstruction_cache
+        if cached is not None and cached[0] is target_adjacency:
+            return cached[1]
         target = np.asarray(target_adjacency, dtype=np.float64)
         target = target + np.eye(target.shape[0])
         np.clip(target, 0.0, 1.0, out=target)
         pos_weight, norm = reconstruction_weights(target)
-        logits = self.reconstruction_logits(z)
-        return F.binary_cross_entropy_with_logits(logits, target, pos_weight=pos_weight, norm=norm)
+        prepared = F.BCETarget.prepare(target, pos_weight=pos_weight, norm=norm)
+        self._reconstruction_cache = (target_adjacency, prepared)
+        return prepared
 
     def regularization_loss(self, z: Tensor) -> Optional[Tensor]:
         """Model-specific extra loss (KL divergence, adversarial penalty).

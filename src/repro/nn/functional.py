@@ -8,11 +8,12 @@ models, and the KL clustering loss of DGAE).
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from repro.nn.tensor import Tensor, as_tensor
+from repro.nn.tensor import Tensor, as_tensor, grad_enabled
 from repro.observability.tracer import span as _span
 
 ArrayOrTensor = Union[np.ndarray, Tensor]
@@ -102,14 +103,15 @@ def binary_cross_entropy_with_logits(
     pos_weight: Optional[float] = None,
     norm: float = 1.0,
 ) -> Tensor:
-    """Mean binary cross-entropy computed from logits.
+    """Mean binary cross-entropy computed from logits, as a composition of ops.
 
-    This is the reconstruction loss of all GAE models: ``logits`` is the
-    dense matrix ``Z Z^T`` and ``targets`` the (possibly rewritten)
-    self-supervision adjacency matrix.  ``pos_weight`` re-weights positive
-    entries, which the original implementations use to counter the extreme
-    sparsity of real graphs.  ``norm`` is a scalar multiplier applied to the
-    final mean (the usual ``N^2 / (2 * #neg)`` normalisation).
+    ARGAE's discriminator trains on it.  With ``logits = Z Z^T`` it is the
+    unfused form of :func:`inner_product_bce`, which the GAE models train
+    on, and the tests keep it as that op's oracle.  ``pos_weight``
+    re-weights positive entries, which the original implementations use to
+    counter the extreme sparsity of real graphs.  ``norm`` is a scalar
+    multiplier applied to the final mean (the usual ``N^2 / (2 * #neg)``
+    normalisation).
     """
     logits = as_tensor(logits)
     targets_arr = np.asarray(
@@ -129,6 +131,99 @@ def binary_cross_entropy_with_logits(
         neg_logits = -logits
         losses = targets_t * (w * neg_logits.softplus()) + (1.0 - targets_t) * logits.softplus()
     return losses.mean() * norm
+
+
+@dataclass(frozen=True)
+class BCETarget:
+    """A dense BCE target ``y`` prepared once for :func:`inner_product_bce`.
+
+    Preparing costs a few O(N²) passes, so a caller whose target stays fixed
+    over many steps prepares it once and passes it back in.  The arrays are
+    read-only: a prepared target may be shared between calls.
+    """
+
+    #: ``1 + (w - 1) y``, the coefficient of ``softplus(x)``.
+    weight: np.ndarray
+    #: ``w y``, the coefficient of ``x``.
+    positive: np.ndarray
+    norm: float
+    #: ``y == yᵀ`` exactly, which lets the backward pass use one product.
+    symmetric: bool
+
+    @classmethod
+    def prepare(
+        cls, targets: np.ndarray, pos_weight: Optional[float] = None, norm: float = 1.0
+    ) -> "BCETarget":
+        y = np.asarray(targets, dtype=np.float64)
+        w = 1.0 if pos_weight is None else float(pos_weight)
+        weight = 1.0 + (w - 1.0) * y
+        positive = w * y
+        weight.flags.writeable = False
+        positive.flags.writeable = False
+        return cls(weight, positive, float(norm), bool(np.array_equal(y, y.T)))
+
+
+def inner_product_bce(
+    z: ArrayOrTensor,
+    target: Union[np.ndarray, BCETarget],
+    pos_weight: Optional[float] = None,
+    norm: float = 1.0,
+) -> Tensor:
+    """Weighted BCE between ``sigmoid(Z Zᵀ)`` and ``target``, as one autograd op.
+
+    The value is that of ``binary_cross_entropy_with_logits(z @ z.T, target,
+    pos_weight, norm)``: ``mean((1 + (w-1) y) softplus(x) - w y x) * norm``
+    with ``x = Z Zᵀ``.  The op records one graph node with ``z`` as its only
+    parent, where the composition records about ten over (N, N) arrays; its
+    backward pass is ``gx @ z + gxᵀ @ z`` with
+    ``gx = ((1 + (w-1) y) sigmoid(x) - w y) * norm / N²``.  ``target`` is
+    the (N, N) array ``y`` or a :class:`BCETarget` prepared from it, which
+    carries its own ``pos_weight`` and ``norm``.
+    """
+    z = as_tensor(z)
+    if not isinstance(target, BCETarget):
+        target = BCETarget.prepare(target, pos_weight, norm)
+    elif pos_weight is not None or norm != 1.0:
+        raise ValueError("a prepared BCETarget carries its own pos_weight and norm")
+    z_data = z.data
+    x = z_data @ z_data.T
+    if x.shape != target.weight.shape:
+        raise ValueError(f"target has shape {target.weight.shape}, logits {x.shape}")
+    # softplus(x) = max(x, 0) + log1p(e) and sigmoid(x) = exp(min(x, 0)) / (1 + e)
+    # share e = exp(-|x|); no exponent is positive, so nothing overflows.
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    losses = np.log1p(e)
+    work = np.maximum(x, 0.0)
+    losses += work
+    losses *= target.weight
+    np.multiply(target.positive, x, out=work)
+    losses -= work
+    value = losses.sum() * (1.0 / x.size) * target.norm
+
+    grad_logits: Optional[np.ndarray] = None
+    if grad_enabled() and z.requires_grad:
+        grad_logits = np.minimum(x, 0.0, out=work)
+        np.exp(grad_logits, out=grad_logits)
+        e += 1.0
+        grad_logits /= e
+        grad_logits *= target.weight
+        grad_logits -= target.positive
+    scale = target.norm * (1.0 / x.size)
+    symmetric = target.symmetric
+
+    def backward(grad: np.ndarray):
+        # x = Z Zᵀ, so dL/dZ = gx @ Z + gxᵀ @ Z, and gx = gxᵀ when y = yᵀ.
+        grad_z = grad_logits @ z_data
+        if symmetric:
+            grad_z *= 2.0
+        else:
+            grad_z += grad_logits.T @ z_data
+        grad_z *= float(grad) * scale
+        return (grad_z,)
+
+    return z._make_child(np.asarray(value), (z,), backward)
 
 
 def binary_cross_entropy_sum(logits: ArrayOrTensor, targets: ArrayOrTensor) -> Tensor:
