@@ -20,16 +20,27 @@ where both paths run, the sparse path must be at least ``--min-speedup``
 times faster (default 5×, checked for N ≥ 2000) on GCN propagation and the
 quadratic form, otherwise the script exits non-zero so CI fails loudly on
 hot-path perf regressions.
+
+BLAS and OpenMP run single-threaded (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` default to 1 before numpy is
+imported; a value the caller exported wins).  Unpinned threads let the
+dense baseline swing several-fold between runs on a 2-core box, which made
+the 5× gate flaky.  The values used are recorded in the output JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import tracemalloc
 from typing import Callable, Dict, Optional
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+#: thread settings in force for this run; set before numpy is first imported.
+THREADS = {name: os.environ.setdefault(name, "1") for name in THREAD_VARS}
 
 import numpy as np
 
@@ -179,6 +190,7 @@ def main(argv=None) -> int:
         feature_dim=FEATURE_DIM,
         hidden_dim=HIDDEN_DIM,
         avg_degree=args.avg_degree,
+        threads=THREADS,
     )
     print(f"{'N':>6} {'|E|':>8} {'op':>26} {'dense':>10} {'sparse':>10} {'speedup':>8}")
     for n in sizes:

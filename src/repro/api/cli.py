@@ -338,8 +338,8 @@ def _run_trace_summary(argv: Sequence[str]) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-run trace-summary",
         description="Summarise a Chrome trace written by 'repro-run --trace' "
-        "(or repro.observability.write_chrome_trace): calls, wall/CPU time "
-        "and peak allocations per span name, sorted by wall time.",
+        "(or repro.observability.write_chrome_trace): calls and wall/CPU "
+        "time per span name, sorted by wall time.",
     )
     parser.add_argument("trace", help="path to a .trace.json file")
     parser.add_argument(

@@ -535,9 +535,10 @@ class RethinkTrainer:
         )
         self.loader_ = loader
         # Υ reads the original graph A in whichever backend the thresholds
-        # pick; batch targets are sliced from the result, so a promoted
-        # graph never materialises the dense (N, N) self-supervision matrix.
-        base_adjacency = adjacency_backend(graph.adjacency)
+        # pick (the graph's memoised CSR when promoted); batch targets are
+        # sliced from the result, so a promoted graph never materialises the
+        # dense (N, N) self-supervision matrix.
+        base_adjacency = adjacency_backend(graph)
 
         optimizer = Adam(model.parameters(), lr=model.learning_rate)
         gamma = model.gamma if config.gamma is None else config.gamma

@@ -8,9 +8,11 @@ matrix ``X`` and, for evaluation only, ground-truth cluster labels ``y``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
+
+from repro.graph.sparse import CSRMemo
 
 
 @dataclass
@@ -30,6 +32,16 @@ class AttributedGraph:
         Human readable identifier (e.g. ``"cora_sim"``).
     metadata:
         Free-form dictionary (generator parameters, number of clusters, ...).
+
+    The CSR forms of ``adjacency`` — its non-zero count, its
+    :class:`~repro.graph.sparse.SparseAdjacency` and its normalised
+    propagation matrix — are derived lazily, at most once per adjacency
+    object, and kept in a memo (:meth:`csr_memo`) that holds O(nnz) memory
+    and read-only arrays.  Reassigning ``adjacency`` invalidates the memo;
+    writing into the array in place does not, so never do that: build a new
+    graph with :meth:`with_adjacency` or the :mod:`repro.graph.ops` helpers.
+    The memo is not part of ``==``, ``repr``, pickles, :meth:`copy` or the
+    ``with_*`` copies.
     """
 
     adjacency: np.ndarray
@@ -59,7 +71,20 @@ class AttributedGraph:
     @property
     def num_edges(self) -> int:
         """Number of undirected edges (each counted once)."""
-        return int(np.triu(self.adjacency, k=1).sum())
+        return self.csr_memo().nnz // 2
+
+    def csr_memo(self) -> CSRMemo:
+        """The memoised CSR forms of the current ``adjacency`` object."""
+        memo = self.__dict__.get("_csr_memo")
+        if memo is None or not memo.derived_from(self.adjacency):
+            memo = CSRMemo(self.adjacency)
+            self.__dict__["_csr_memo"] = memo
+        return memo
+
+    def __getstate__(self) -> Dict[str, Any]:
+        state = dict(self.__dict__)
+        state.pop("_csr_memo", None)
+        return state
 
     @property
     def num_clusters(self) -> int:
@@ -131,8 +156,10 @@ class AttributedGraph:
 
     def edge_list(self) -> np.ndarray:
         """(E, 2) array of undirected edges with i < j."""
-        rows, cols = np.nonzero(np.triu(self.adjacency, k=1))
-        return np.stack([rows, cols], axis=1)
+        csr = self.csr_memo().csr()
+        rows, cols = csr.row_indices(), csr.indices
+        upper = rows < cols
+        return np.stack([rows[upper], cols[upper]], axis=1)
 
     def row_normalized_features(self) -> np.ndarray:
         """Features row-normalised by their Euclidean norm (paper Section 5.1)."""

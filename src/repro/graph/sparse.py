@@ -22,12 +22,17 @@ model uses.
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
-from typing import Optional, Tuple, Union
+from typing import TYPE_CHECKING, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import env as repro_env
+from repro.errors import InternalInvariantError
+
+if TYPE_CHECKING:
+    from repro.graph.graph import AttributedGraph
 
 __all__ = [
     "SparseAdjacency",
@@ -494,65 +499,155 @@ class SparseAdjacency:
         return total
 
 
-def as_sparse_adjacency(
-    adjacency: Union[np.ndarray, SparseAdjacency]
-) -> SparseAdjacency:
-    """Coerce to :class:`SparseAdjacency` (no copy if already sparse)."""
+#: what the backend helpers accept: a dense matrix, a CSR matrix, or a graph
+#: (whose CSR forms are memoised, see :meth:`AttributedGraph.csr_memo`).
+AdjacencyInput = Union[np.ndarray, SparseAdjacency, "AttributedGraph"]
+
+
+class CSRMemo:
+    """The CSR forms of one dense adjacency, each derived at most once.
+
+    Holds the stored-entry count, the :class:`SparseAdjacency` and its
+    normalised propagation matrix (self loops added), each computed on
+    first use.  Everything held is O(nnz): the dense source is referenced
+    weakly, never copied, and the CSR arrays (``data``, ``indices``,
+    ``indptr``) are read-only, so the shared matrices cannot be edited
+    behind their users' backs.  :class:`~repro.graph.graph.AttributedGraph`
+    keeps one per adjacency object; a bare dense array gets a one-off memo
+    per call.
+    """
+
+    __slots__ = ("_source", "num_nodes", "_nnz", "_csr", "_propagation")
+
+    def __init__(self, dense: np.ndarray) -> None:
+        self._source = weakref.ref(dense)
+        self.num_nodes = int(dense.shape[0])
+        self._nnz: Optional[int] = None
+        self._csr: Optional[SparseAdjacency] = None
+        self._propagation: Optional[SparseAdjacency] = None
+
+    def derived_from(self, dense: np.ndarray) -> bool:
+        """Whether this memo was built from the array object ``dense``."""
+        return self._source() is dense
+
+    def _dense(self) -> np.ndarray:
+        dense = self._source()
+        if dense is None:
+            raise InternalInvariantError(
+                "the adjacency this CSR memo derives from is gone"
+            )
+        return dense
+
+    @property
+    def nnz(self) -> int:
+        """Number of non-zero entries of the dense source."""
+        if self._nnz is None:
+            if self._csr is not None:
+                self._nnz = self._csr.nnz
+            else:
+                self._nnz = int(np.count_nonzero(self._dense()))
+        return self._nnz
+
+    def csr(self) -> SparseAdjacency:
+        """The read-only :class:`SparseAdjacency` of the dense source."""
+        if self._csr is None:
+            self._csr = _read_only(SparseAdjacency.from_dense(self._dense()))
+        return self._csr
+
+    def propagation(self) -> SparseAdjacency:
+        """The read-only ``D^{-1/2} (A + I) D^{-1/2}`` in CSR form."""
+        if self._propagation is None:
+            self._propagation = _read_only(self.csr().normalize(self_loops=True))
+        return self._propagation
+
+
+def _read_only(matrix: SparseAdjacency) -> SparseAdjacency:
+    for array in (matrix.data, matrix.indices, matrix.indptr):
+        array.flags.writeable = False
+    return matrix
+
+
+def _dense_and_memo(adjacency) -> Tuple[np.ndarray, CSRMemo]:
+    """The dense matrix behind ``adjacency`` and its CSR memo.
+
+    An :class:`~repro.graph.graph.AttributedGraph` answers from the memo it
+    keeps; a dense array gets a fresh memo, alive while the caller holds the
+    returned array.
+    """
+    from repro.graph.graph import AttributedGraph
+
+    if isinstance(adjacency, AttributedGraph):
+        return adjacency.adjacency, adjacency.csr_memo()
+    dense = np.asarray(adjacency, dtype=np.float64)
+    return dense, CSRMemo(dense)
+
+
+def as_sparse_adjacency(adjacency: AdjacencyInput) -> SparseAdjacency:
+    """Coerce to :class:`SparseAdjacency` (no copy if already sparse).
+
+    A graph returns its memoised, read-only CSR matrix.
+    """
     if isinstance(adjacency, SparseAdjacency):
         return adjacency
-    return SparseAdjacency.from_dense(adjacency)
+    dense, memo = _dense_and_memo(adjacency)  # ``dense`` keeps the source alive
+    return memo.csr()
 
 
 def _should_promote(
-    dense: np.ndarray,
+    memo: CSRMemo,
     node_threshold: Optional[int],
     density_threshold: Optional[float],
 ) -> bool:
-    """Whether a dense adjacency crosses the CSR auto-promotion thresholds."""
+    """Whether a dense adjacency crosses the CSR auto-promotion thresholds.
+
+    The thresholds resolve on every call; the node count is checked before
+    the (memoised) non-zero count is read.
+    """
     resolved_node, resolved_density = resolved_sparse_thresholds()
     if node_threshold is None:
         node_threshold = resolved_node
     if density_threshold is None:
         density_threshold = resolved_density
-    n = dense.shape[0]
-    if n == 0:
+    n = memo.num_nodes
+    if n == 0 or n < node_threshold:
         return False
-    density = float(np.count_nonzero(dense)) / (n * n)
-    return n >= node_threshold and density <= density_threshold
+    return memo.nnz / (n * n) <= density_threshold
 
 
 def adjacency_backend(
-    adjacency: Union[np.ndarray, SparseAdjacency],
+    adjacency: AdjacencyInput,
     node_threshold: Optional[int] = None,
     density_threshold: Optional[float] = None,
 ) -> Union[np.ndarray, SparseAdjacency]:
     """The *unnormalised* adjacency in the backend the thresholds pick.
 
-    Sparse input stays sparse; dense input is converted to CSR exactly when
-    :func:`propagation_matrix` would promote it (same thresholds, same
-    resolution order), and returned unchanged otherwise.  This is how the
-    minibatch trainer chooses the representation of the self-supervision
-    graph it slices per batch.
+    Sparse input stays sparse; dense input (an array or a graph) is
+    converted to CSR exactly when :func:`propagation_matrix` would promote
+    it (same thresholds, same resolution order), and returned unchanged
+    otherwise.  This is how the minibatch trainer chooses the
+    representation of the self-supervision graph it slices per batch.
     """
     if isinstance(adjacency, SparseAdjacency):
         return adjacency
-    dense = np.asarray(adjacency, dtype=np.float64)
-    if _should_promote(dense, node_threshold, density_threshold):
-        return SparseAdjacency.from_dense(dense)
+    dense, memo = _dense_and_memo(adjacency)
+    if _should_promote(memo, node_threshold, density_threshold):
+        return memo.csr()
     return dense
 
 
 def propagation_matrix(
-    adjacency: Union[np.ndarray, SparseAdjacency],
+    adjacency: AdjacencyInput,
     self_loops: bool = True,
     node_threshold: Optional[int] = None,
     density_threshold: Optional[float] = None,
 ) -> Union[np.ndarray, SparseAdjacency]:
     """Normalised GCN propagation matrix with automatic backend choice.
 
-    Sparse input stays sparse.  Dense input is promoted to
-    :class:`SparseAdjacency` when the graph is large (≥ ``node_threshold``
-    nodes) and sparse (density ≤ ``density_threshold``); otherwise the dense
+    Sparse input stays sparse.  Dense input — an array, or an
+    :class:`~repro.graph.graph.AttributedGraph`, whose CSR forms are
+    memoised — is promoted to :class:`SparseAdjacency` when the graph is
+    large (≥ ``node_threshold`` nodes) and sparse (density ≤
+    ``density_threshold``); otherwise the dense
     :func:`~repro.graph.laplacian.normalize_adjacency` result is returned, so
     small graphs keep the exact BLAS code path (and bit-identical results).
 
@@ -566,7 +661,9 @@ def propagation_matrix(
 
     if isinstance(adjacency, SparseAdjacency):
         return adjacency.normalize(self_loops=self_loops)
-    dense = np.asarray(adjacency, dtype=np.float64)
-    if _should_promote(dense, node_threshold, density_threshold):
-        return SparseAdjacency.from_dense(dense).normalize(self_loops=self_loops)
+    dense, memo = _dense_and_memo(adjacency)
+    if _should_promote(memo, node_threshold, density_threshold):
+        if self_loops:
+            return memo.propagation()
+        return memo.csr().normalize(self_loops=False)
     return normalize_adjacency(dense, self_loops=self_loops)

@@ -131,7 +131,7 @@ class FullBatchLoader(MinibatchLoader):
         self._batch = Minibatch(
             node_ids=node_ids,
             features=graph.row_normalized_features(),
-            adj_norm=propagation_matrix(graph.adjacency, self_loops=True),
+            adj_norm=propagation_matrix(graph, self_loops=True),
             seed_ids=node_ids,
             num_nodes_total=graph.num_nodes,
         )
@@ -191,7 +191,7 @@ class NeighborLoader(MinibatchLoader):
         self.fanout = int(fanout)
         self.num_hops = int(num_hops)
         self.seed = int(seed)
-        self._sparse = as_sparse_adjacency(graph.adjacency)
+        self._sparse = as_sparse_adjacency(graph)
         self._features = graph.row_normalized_features()
 
     @property
@@ -244,7 +244,7 @@ class ClusterLoader(MinibatchLoader):
         self.graph = graph
         self.seed = int(seed)
         self.shuffle = bool(shuffle)
-        self._sparse = as_sparse_adjacency(graph.adjacency)
+        self._sparse = as_sparse_adjacency(graph)
         self._features = graph.row_normalized_features()
         if partition is None:
             if num_parts is None:

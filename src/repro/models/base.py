@@ -255,10 +255,12 @@ class GAEClusteringModel(Module):
         The propagation matrix is a :class:`~repro.graph.sparse.SparseAdjacency`
         for large sparse graphs and a dense array otherwise (see
         :func:`~repro.graph.sparse.propagation_matrix`); the GCN layers accept
-        both, so callers should treat it as an opaque operator.
+        both, so callers should treat it as an opaque operator.  The CSR form
+        is memoised on the graph, so repeated calls (every ``embed``) share
+        one conversion.
         """
         features = graph.row_normalized_features()
-        adj_norm = propagation_matrix(graph.adjacency, self_loops=True)
+        adj_norm = propagation_matrix(graph, self_loops=True)
         return features, adj_norm
 
     # ------------------------------------------------------------------

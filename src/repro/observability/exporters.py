@@ -186,14 +186,17 @@ def summarize_trace(events: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
 
 
 def format_trace_summary(rows: List[Dict[str, Any]]) -> str:
-    """Render :func:`summarize_trace` rows as an aligned text table."""
-    header = f"{'span':<36} {'calls':>7} {'wall ms':>12} {'cpu ms':>12} {'peak alloc kb':>14}"
+    """Render :func:`summarize_trace` rows as an aligned text table.
+
+    ``peak_alloc_kb`` stays in the rows (``--json``) but not in the table:
+    only the opt-in ``telemetry`` callback fills it.
+    """
+    header = f"{'span':<36} {'calls':>7} {'wall ms':>12} {'cpu ms':>12}"
     lines = [header, "-" * len(header)]
     for row in rows:
-        alloc = f"{row['peak_alloc_kb']:.1f}" if row["peak_alloc_kb"] else "-"
         lines.append(
             f"{row['name']:<36} {row['calls']:>7d} {row['wall_ms']:>12.2f} "
-            f"{row['cpu_ms']:>12.2f} {alloc:>14}"
+            f"{row['cpu_ms']:>12.2f}"
         )
     return "\n".join(lines)
 

@@ -276,6 +276,9 @@ class TestExporters:
         assert rows[0]["name"] == "resilience.attempt"
         table = format_trace_summary(rows)
         assert "pipeline.run" in table and "calls" in table
+        # peak allocations stay in the JSON rows, not in the text table
+        assert table.splitlines()[0].split() == ["span", "calls", "wall", "ms", "cpu", "ms"]
+        assert all("peak_alloc_kb" in row for row in rows)
 
     def test_store_trace_path_truncates_key(self):
         path = store_trace_path("/store", "a" * 64)
