@@ -32,6 +32,12 @@ non-zero when a kernel regresses below its threshold, so CI fails loudly.
 The reference implementations below are verbatim copies of the pre-PR loop
 kernels; ``tests/test_kernel_equivalence.py`` holds the numerical
 equivalence tests between the two generations.
+
+BLAS and OpenMP run single-threaded (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` default to 1 before numpy is
+imported; a value the caller exported wins), so timings do not swing with
+the thread count the BLAS picks.  The values used are recorded in the
+output JSON.
 """
 
 from __future__ import annotations
@@ -42,6 +48,10 @@ import os
 import sys
 import time
 from typing import Callable, Dict
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+#: thread settings in force for this run; set before numpy is first imported.
+THREADS = {name: os.environ.setdefault(name, "1") for name in THREAD_VARS}
 
 import numpy as np
 
@@ -443,7 +453,9 @@ def main(argv=None) -> int:
         "gmm_fit": lambda: bench_gmm(repeats, args.seed),
         "upsilon_transform": lambda: bench_upsilon(repeats, args.seed),
     }
-    report = unified_report("bench_clustering", {}, repeats=repeats, seed=args.seed)
+    report = unified_report(
+        "bench_clustering", {}, repeats=repeats, seed=args.seed, threads=THREADS
+    )
     print(f"{'kernel':>22} {'loop':>10} {'vectorised':>11} {'speedup':>8} {'target':>7}")
     failures = []
     for name, bench in benches.items():

@@ -26,16 +26,27 @@ Two scaling checks make CI fail loudly when the subsystem regresses:
    full-graph size (default 4×) while staying within the full-graph path's
    peak memory at its own largest size — "a 4× larger graph in the same
    memory envelope".
+
+BLAS and OpenMP run single-threaded (``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` default to 1 before numpy is
+imported; a value the caller exported wins), so timings do not swing with
+the thread count the BLAS picks.  The values used are recorded in the
+output JSON.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import tracemalloc
 from typing import Dict, Optional
+
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+#: thread settings in force for this run; set before numpy is first imported.
+THREADS = {name: os.environ.setdefault(name, "1") for name in THREAD_VARS}
 
 import numpy as np
 
@@ -142,6 +153,7 @@ def main(argv=None) -> int:
         num_clusters=NUM_CLUSTERS,
         avg_degree=args.avg_degree,
         batch_size=args.batch_size,
+        threads=THREADS,
     )
     print(
         f"{'N':>7} {'|E|':>8} {'path':>8} {'epoch':>10} {'peak mem':>10} {'batches':>8}"

@@ -654,10 +654,6 @@ def extract_module_facts(ctx: ModuleContext) -> ModuleFacts:
 # ----------------------------------------------------------------------
 # the REP1xx project rules
 # ----------------------------------------------------------------------
-def _witness(project: "ProjectContext", symbol: str) -> str:
-    return project.witness(symbol)
-
-
 @project_rule(
     "REP101",
     summary="no lambda/closure/local class flowing into the process pool "

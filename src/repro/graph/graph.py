@@ -102,7 +102,14 @@ class AttributedGraph:
     # validation and edits
     # ------------------------------------------------------------------
     def validate(self) -> None:
-        """Check structural invariants; raise ``ValueError`` on violation."""
+        """Check structural invariants; raise ``ValueError`` on violation.
+
+        Costs one O(N²) read of the current dense ``adjacency`` (never the
+        CSR memo, so an in-place edit is seen) and O(nnz) memory: every
+        stored entry must be exactly 1 and off the diagonal, and the sorted
+        transposed keys ``c·N + r`` must equal the row-major keys ``r·N + c``.
+        Only when that fails do the dense checks run, to pick the message.
+        """
         a = self.adjacency
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"adjacency must be square, got shape {a.shape}")
@@ -111,12 +118,19 @@ class AttributedGraph:
                 "features must be (N, J) with N matching the adjacency "
                 f"(got {self.features.shape} vs N={a.shape[0]})"
             )
-        if not np.allclose(a, a.T):
-            raise ValueError("adjacency must be symmetric (undirected graph)")
-        if np.any(np.diag(a) != 0):
-            raise ValueError("adjacency must have a zero diagonal (no self loops)")
-        if np.any((a != 0) & (a != 1)):
-            raise ValueError("adjacency must be binary")
+        n = a.shape[0]
+        rows, cols = np.nonzero(a)
+        if not (
+            np.all(a[rows, cols] == 1)
+            and np.all(rows != cols)
+            and np.array_equal(rows * n + cols, np.sort(cols * n + rows))
+        ):
+            if not np.allclose(a, a.T):
+                raise ValueError("adjacency must be symmetric (undirected graph)")
+            if np.any(np.diag(a) != 0):
+                raise ValueError("adjacency must have a zero diagonal (no self loops)")
+            if np.any((a != 0) & (a != 1)):
+                raise ValueError("adjacency must be binary")
         if self.labels is not None and self.labels.shape[0] != a.shape[0]:
             raise ValueError("labels length must match the number of nodes")
 

@@ -88,17 +88,21 @@ def star_subgraph_count(adjacency: np.ndarray, min_leaves: int = 2) -> int:
 
 
 def describe(graph: AttributedGraph) -> Dict[str, object]:
-    """Summary dictionary used in dataset documentation and tests."""
+    """Summary dictionary for dataset docs and tests; builds no N×N temporary."""
+    n, num_edges = graph.num_nodes, graph.num_edges
+    possible = n * (n - 1) / 2
     summary: Dict[str, object] = {
         "name": graph.name,
-        "num_nodes": graph.num_nodes,
-        "num_edges": graph.num_edges,
+        "num_nodes": n,
+        "num_edges": num_edges,
         "num_features": graph.num_features,
-        "density": density(graph.adjacency),
+        "density": float(num_edges / possible) if possible else 0.0,
     }
     if graph.labels is not None:
+        edges = graph.edge_list()
+        same = int(np.count_nonzero(graph.labels[edges[:, 0]] == graph.labels[edges[:, 1]]))
         summary["num_clusters"] = graph.num_clusters
-        summary["homophily"] = homophily(graph.adjacency, graph.labels)
+        summary["homophily"] = float(same / num_edges) if num_edges else 0.0
         _, counts = np.unique(graph.labels, return_counts=True)
         summary["cluster_sizes"] = counts.tolist()
     return summary

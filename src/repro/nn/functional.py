@@ -274,12 +274,6 @@ def mean_squared_error(pred: ArrayOrTensor, target: ArrayOrTensor) -> Tensor:
     return (diff * diff).mean()
 
 
-def frobenius_norm_squared(x: ArrayOrTensor) -> Tensor:
-    """Squared Frobenius norm of a matrix."""
-    x = as_tensor(x)
-    return (x * x).sum()
-
-
 def pairwise_squared_distances(z: np.ndarray) -> np.ndarray:
     """Dense (N, N) matrix of squared Euclidean distances (numpy only)."""
     sq = np.sum(z ** 2, axis=1)

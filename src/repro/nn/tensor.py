@@ -80,12 +80,6 @@ def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _as_array(value: ArrayLike) -> np.ndarray:
-    if isinstance(value, Tensor):
-        return value.data
-    return np.asarray(value, dtype=np.float64)
-
-
 def as_tensor(value: ArrayLike) -> "Tensor":
     """Coerce ``value`` to a :class:`Tensor` without copying existing tensors."""
     if isinstance(value, Tensor):

@@ -364,6 +364,8 @@ def supervised_map(
     ]
     if jobs == 1 or len(items) <= 1:
         return _serial_map(fn, states, policy, fail_fast, on_result)
+    # np.unique imports numpy.ma lazily: import it once, before workers fork.
+    import numpy.ma  # noqa: F401
 
     results: List[Any] = [None] * len(states)
     failures: List[TrialFailure] = []

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from scipy.optimize import linear_sum_assignment
 
+import repro
 from repro.metrics import (
     adjusted_rand_index,
     align_labels,
@@ -18,20 +23,91 @@ from repro.metrics.hungarian import hungarian_algorithm
 from repro.metrics.nmi import contingency_matrix
 
 
+def brute_force_min_cost(cost: np.ndarray) -> float:
+    """Exact minimum assignment cost over every injective row/column pairing."""
+    rows, cols = cost.shape
+    if rows > cols:
+        return brute_force_min_cost(cost.T)
+    return min(
+        sum(cost[r, c] for r, c in zip(range(rows), chosen))
+        for chosen in itertools.permutations(range(cols), rows)
+    )
+
+
+def brute_force_matched_count(true: np.ndarray, pred: np.ndarray) -> int:
+    """Most samples any injective predicted→true id mapping can match."""
+    size = int(max(true.max(), pred.max())) + 1
+    contingency = np.zeros((size, size), dtype=np.int64)
+    np.add.at(contingency, (pred, true), 1)
+    return int(-brute_force_min_cost(-contingency))
+
+
 class TestHungarian:
-    def test_pure_implementation_matches_scipy(self, rng):
+    def test_pure_implementation_matches_brute_force(self, rng):
         for _ in range(10):
             cost = rng.random((5, 5))
-            rows_a, cols_a = hungarian_algorithm(cost)
-            rows_b, cols_b = linear_sum_assignment(cost)
-            assert cost[rows_a, cols_a].sum() == pytest.approx(cost[rows_b, cols_b].sum())
+            rows, cols = hungarian_algorithm(cost)
+            assert list(rows) == list(range(5)) and sorted(cols) == list(range(5))
+            assert cost[rows, cols].sum() == pytest.approx(brute_force_min_cost(cost))
 
     def test_pure_implementation_rectangular(self, rng):
-        cost = rng.random((3, 6))
-        rows, cols = hungarian_algorithm(cost)
-        assert len(rows) == 3
-        rows_b, cols_b = linear_sum_assignment(cost)
-        assert cost[rows, cols].sum() == pytest.approx(cost[rows_b, cols_b].sum())
+        for shape in [(3, 6), (6, 3), (4, 5), (5, 4), (1, 6), (6, 6)]:
+            cost = rng.integers(0, 4, size=shape).astype(float)
+            rows, cols = hungarian_algorithm(cost)
+            assert len(rows) == len(cols) == min(shape)
+            assert list(rows) == sorted(set(rows)) and len(set(cols)) == len(cols)
+            assert cost[rows, cols].sum() == brute_force_min_cost(cost)
+
+    def test_ties_resolve_like_linear_sum_assignment(self):
+        # Each cost has several optimal assignments; the expected pairs were
+        # recorded from scipy.optimize.linear_sum_assignment (scipy 1.17).
+        # The FR/FD oracle and per-group accuracies read the chosen pairs.
+        constant = np.full((4, 4), 2.0)
+        np.testing.assert_array_equal(hungarian_algorithm(constant)[1], [0, 1, 2, 3])
+        cases = [
+            ([[0, 0, 1], [1, 2, 1], [1, 1, 1]], [0, 1, 2], [0, 2, 1]),
+            (
+                [[2, 0, 2, 1], [0, 1, 2, 1], [1, 2, 1, 1], [0, 0, 2, 2]],
+                [0, 1, 2, 3],
+                [3, 0, 2, 1],
+            ),
+            ([[0, 2, 0], [2, 0, 1], [2, 2, 1], [0, 0, 2], [1, 0, 2]], [0, 1, 3], [2, 1, 0]),
+        ]
+        for cost, rows, cols in cases:
+            got_rows, got_cols = hungarian_algorithm(np.array(cost, dtype=float))
+            np.testing.assert_array_equal(got_rows, rows)
+            np.testing.assert_array_equal(got_cols, cols)
+
+    def test_rejects_invalid_costs(self):
+        with pytest.raises(ValueError):
+            hungarian_algorithm(np.array([[np.nan, 1.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError):
+            hungarian_algorithm(np.array([[np.inf, np.inf], [1.0, 0.0]]))
+
+    def test_matching_reaches_brute_force_optimum(self, rng):
+        for _ in range(60):
+            num_true, num_pred = rng.integers(1, 7, size=2)
+            size = int(rng.integers(1, 40))
+            true = rng.integers(0, num_true, size=size)
+            pred = rng.integers(0, num_pred, size=size)
+            mapping = hungarian_matching(true, pred)
+            assert set(mapping) == set(range(int(max(true.max(), pred.max())) + 1))
+            assert len(set(mapping.values())) == len(mapping)
+            matched = int(sum(np.sum((pred == p) & (true == t)) for p, t in mapping.items()))
+            assert matched == brute_force_matched_count(true, pred)
+
+    def test_import_loads_no_scipy(self):
+        code = (
+            "import sys\n"
+            "import repro, repro.api.pipeline, repro.experiments.runner\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+        )
+        assert out.stdout.strip() == "[]"
 
     def test_matching_identity(self):
         labels = np.array([0, 1, 2, 0, 1, 2])
